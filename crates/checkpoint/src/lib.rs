@@ -32,7 +32,10 @@ pub const MAGIC: [u8; 8] = *b"STCCKPT\0";
 ///
 /// v2: network payloads gained the per-stage work counters and the
 /// starvation timer-wheel deadline array.
-pub const VERSION: u32 = 2;
+/// v3: the side-band controllers (tune, aimd, decbit, bbr) write one shared
+/// front-end layout: side-band, then the policy's own fields, then the
+/// watchdog state.
+pub const VERSION: u32 = 3;
 
 /// Decode-side failure: a snapshot that is truncated, corrupt, from a
 /// different format version, or taken under a different configuration.

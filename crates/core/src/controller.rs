@@ -60,7 +60,9 @@ pub struct ControllerCounters {
 ///    pipeline) or guarantees the skipped `on_cycle`s are no-ops.
 /// 3. Stepping under the invariant audit layer never perturbs outputs.
 /// 4. A side-band blackout must trip the staleness watchdog and fail
-///    *open* (stop throttling on fiction) rather than wedging the network.
+///    *open* (stop throttling on fiction) rather than wedging the network;
+///    once the blackout lifts, the watchdog re-arms and the gate works
+///    again.
 /// 5. A monotonically rising census must close the gate of every
 ///    estimate-gated controller (and never close `Base`/`Alo`'s).
 pub trait Controller: CongestionControl {

@@ -1,7 +1,6 @@
-use crate::{Controller, ControllerCounters};
-use faults::FaultPlan;
-use sideband::{Sideband, SidebandConfig};
-use wormsim::{CongestionControl, Network};
+use crate::{ControllerCounters, Guarded, Policy};
+use sideband::{Sideband, SidebandConfig, Snapshot};
+use wormsim::Network;
 
 /// Configuration of the DEC-bit-style controller.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,8 +16,6 @@ pub struct DecBitConfig {
     /// Throttle while the windowed average congested-node fraction is at or
     /// above this value (0.5 — the scheme's "≥ 50% of bits set" rule).
     pub congested_fraction: f64,
-    /// Staleness watchdog horizon, in gathers (0 disables it).
-    pub watchdog_gathers: u32,
 }
 
 impl DecBitConfig {
@@ -30,7 +27,6 @@ impl DecBitConfig {
             sideband: SidebandConfig::paper(),
             window_gathers: 4,
             congested_fraction: 0.5,
-            watchdog_gathers: 8,
         }
     }
 
@@ -48,75 +44,28 @@ impl DecBitConfig {
 /// window of recent snapshots says at least half the nodes are congested.
 ///
 /// Unlike the threshold schemes there is no estimate-vs-threshold gate and
-/// no extrapolation: the decision is a low-pass filter over binary per-node
-/// feedback, which is exactly what makes it a useful rival — it reacts to
-/// congestion *extent* (how many nodes are hot), not *depth* (how full the
-/// hot ones are).
+/// no extrapolation: the decision ([`DecBitPolicy`]) is a low-pass filter
+/// over binary per-node feedback, which is exactly what makes it a useful
+/// rival — it reacts to congestion *extent* (how many nodes are hot), not
+/// *depth* (how full the hot ones are).
+pub type DecBitControl = Guarded<DecBitPolicy>;
+
+/// DEC-bit's decision state: the snapshot window and its verdict.
 #[derive(Debug, Clone)]
-pub struct DecBitControl {
-    cfg: DecBitConfig,
-    sideband: Sideband,
+pub struct DecBitPolicy {
+    /// The fixed gate level, in congested nodes (configuration).
+    threshold: f64,
     /// Congested-node counts of the last `window_gathers` snapshots,
     /// oldest first.
     window: Vec<u32>,
-    throttling_now: bool,
-    last_snapshot_seen: Option<u64>,
-    frozen: bool,
+    /// The window verdict of the newest snapshot.
+    congested: bool,
     snapshots: u64,
     congested_verdicts: u64,
     clear_verdicts: u64,
-    watchdog_trips: u64,
-    watchdog_rearms: u64,
 }
 
-impl DecBitControl {
-    /// Creates the controller.
-    #[must_use]
-    pub fn new(cfg: DecBitConfig) -> Self {
-        DecBitControl {
-            sideband: Sideband::new(cfg.sideband.clone()),
-            cfg,
-            window: Vec::new(),
-            throttling_now: false,
-            last_snapshot_seen: None,
-            frozen: false,
-            snapshots: 0,
-            congested_verdicts: 0,
-            clear_verdicts: 0,
-            watchdog_trips: 0,
-            watchdog_rearms: 0,
-        }
-    }
-
-    /// Whether injection is currently blocked network-wide.
-    #[must_use]
-    pub fn throttling(&self) -> bool {
-        self.throttling_now
-    }
-
-    /// Installs a fault plan on the underlying side-band.
-    pub fn set_faults(&mut self, plan: FaultPlan) {
-        self.sideband.set_faults(plan);
-    }
-
-    /// Whether the staleness watchdog has currently frozen the controller.
-    #[must_use]
-    pub fn watchdog_active(&self) -> bool {
-        self.frozen
-    }
-
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &DecBitConfig {
-        &self.cfg
-    }
-
-    /// Read access to the underlying side-band model.
-    #[must_use]
-    pub fn sideband(&self) -> &Sideband {
-        &self.sideband
-    }
-
+impl DecBitPolicy {
     /// The window-filter decision: congested iff the average congested-node
     /// count over the window is at or above `congested_fraction` of all
     /// nodes. An empty window (start-up, post-outage) is never congested.
@@ -129,144 +78,76 @@ impl DecBitControl {
         avg >= congested_fraction * node_count
     }
 
-    /// Serializes the controller state (side-band + filter window) into
-    /// `enc`.
-    pub fn save_state(&self, enc: &mut checkpoint::Enc) {
-        self.sideband.save_state(enc);
-        enc.u32(self.window.len() as u32);
-        for &c in &self.window {
-            enc.u32(c);
-        }
-        enc.bool(self.throttling_now);
-        enc.opt_u64(self.last_snapshot_seen);
-        enc.bool(self.frozen);
-        enc.u64(self.snapshots);
-        enc.u64(self.congested_verdicts);
-        enc.u64(self.clear_verdicts);
-        enc.u64(self.watchdog_trips);
-        enc.u64(self.watchdog_rearms);
-    }
-
-    /// Restores state captured with [`DecBitControl::save_state`] into a
-    /// controller built from the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`checkpoint::CheckpointError`] on a truncated or
-    /// structurally invalid stream.
-    pub fn restore_state(
-        &mut self,
-        dec: &mut checkpoint::Dec<'_>,
-    ) -> Result<(), checkpoint::CheckpointError> {
-        self.sideband.restore_state(dec)?;
-        let len = dec.u32()?;
-        self.window.clear();
-        for _ in 0..len {
-            self.window.push(dec.u32()?);
-        }
-        self.throttling_now = dec.bool()?;
-        self.last_snapshot_seen = dec.opt_u64()?;
-        self.frozen = dec.bool()?;
-        self.snapshots = dec.u64()?;
-        self.congested_verdicts = dec.u64()?;
-        self.clear_verdicts = dec.u64()?;
-        self.watchdog_trips = dec.u64()?;
-        self.watchdog_rearms = dec.u64()?;
-        Ok(())
+    fn threshold_for(cfg: &DecBitConfig) -> f64 {
+        cfg.congested_fraction * f64::from(cfg.node_count())
     }
 }
 
-impl CongestionControl for DecBitControl {
-    fn on_cycle(&mut self, now: u64, net: &Network) {
-        // Each node's congestion bit: any completely full VC buffer at that
-        // node. The census shipped over the side-band is the count of set
-        // bits.
-        let congested_nodes = net
-            .full_buffer_planes()
+impl Policy for DecBitPolicy {
+    type Config = DecBitConfig;
+    const NAME: &'static str = "decbit";
+
+    fn sideband(cfg: &DecBitConfig) -> &SidebandConfig {
+        &cfg.sideband
+    }
+
+    fn new(cfg: &DecBitConfig, _total_buffers: f64) -> Self {
+        DecBitPolicy {
+            threshold: Self::threshold_for(cfg),
+            window: Vec::new(),
+            congested: false,
+            snapshots: 0,
+            congested_verdicts: 0,
+            clear_verdicts: 0,
+        }
+    }
+
+    /// Each node's congestion bit: any completely full VC buffer at that
+    /// node. The census shipped over the side-band is the count of set
+    /// bits.
+    fn census(net: &Network) -> u32 {
+        net.full_buffer_planes()
             .iter()
             .filter(|&&plane| plane != 0)
-            .count() as u32;
-        Controller::observe_census(self, now, congested_nodes, net.delivered_flits_cum());
+            .count() as u32
     }
 
-    fn allow_injection(&mut self, _now: u64, _node: usize, _dst: usize, _net: &Network) -> bool {
-        !self.throttling_now
-    }
-
-    fn throttled_recently(&self) -> bool {
-        self.throttling_now
-    }
-
-    fn name(&self) -> &'static str {
-        "decbit"
-    }
-}
-
-impl Controller for DecBitControl {
-    fn observe_census(&mut self, now: u64, census: u32, delivered_cum: u64) {
-        self.sideband.on_cycle(now, census, delivered_cum);
-
-        if let Some(snap) = self.sideband.latest() {
-            if self.last_snapshot_seen != Some(snap.taken_at) {
-                self.last_snapshot_seen = Some(snap.taken_at);
-                if self.frozen {
-                    // Real feedback is back: re-arm and refill the window
-                    // from scratch (pre-outage bits are not comparable).
-                    self.frozen = false;
-                    self.watchdog_rearms += 1;
-                }
-                self.window.push(snap.full_buffers);
-                let max = self.cfg.window_gathers.max(1) as usize;
-                if self.window.len() > max {
-                    self.window.drain(..self.window.len() - max);
-                }
-                self.snapshots += 1;
-                let congested = Self::window_congested(
-                    &self.window,
-                    self.cfg.congested_fraction,
-                    f64::from(self.cfg.node_count()),
-                );
-                if congested {
-                    self.congested_verdicts += 1;
-                } else {
-                    self.clear_verdicts += 1;
-                }
-                self.throttling_now = congested;
-            }
+    /// Every snapshot yields a window verdict. None of them moves the
+    /// fixed threshold, so none advances the last-good fallback.
+    fn on_snapshot(&mut self, cfg: &DecBitConfig, snap: Snapshot) -> bool {
+        self.window.push(snap.full_buffers);
+        let max = cfg.window_gathers.max(1) as usize;
+        if self.window.len() > max {
+            self.window.drain(..self.window.len() - max);
         }
-
-        if !self.frozen
-            && self.cfg.watchdog_gathers > 0
-            && self.sideband.gathers_overdue(now) >= u64::from(self.cfg.watchdog_gathers)
-        {
-            // Feedback bits stopped arriving: the window is fiction. Fail
-            // open and discard it.
-            self.frozen = true;
-            self.watchdog_trips += 1;
-            self.window.clear();
-            self.throttling_now = false;
+        self.snapshots += 1;
+        self.congested = Self::window_congested(
+            &self.window,
+            cfg.congested_fraction,
+            f64::from(cfg.node_count()),
+        );
+        if self.congested {
+            self.congested_verdicts += 1;
+        } else {
+            self.clear_verdicts += 1;
         }
+        false
     }
 
-    fn throttling(&self) -> bool {
-        DecBitControl::throttling(self)
+    /// Feedback bits stopped arriving: the window is fiction. Discard it,
+    /// so the window refills from scratch once real feedback returns.
+    fn on_trip(&mut self, _last_good: f64) {
+        self.window.clear();
+        self.congested = false;
     }
 
-    fn threshold(&self) -> Option<f64> {
-        // In this controller's census units (congested nodes).
-        Some(self.cfg.congested_fraction * f64::from(self.cfg.node_count()))
+    /// The gate is the newest window verdict, not an estimate comparison.
+    fn gate(&self, _sideband: &Sideband, _now: u64) -> bool {
+        self.congested
     }
 
-    fn set_faults(&mut self, plan: FaultPlan) {
-        DecBitControl::set_faults(self, plan);
-    }
-
-    fn sideband(&self) -> Option<&Sideband> {
-        Some(DecBitControl::sideband(self))
-    }
-
-    fn watchdog_active(&self) -> bool {
-        DecBitControl::watchdog_active(self)
+    fn threshold(&self) -> f64 {
+        self.threshold
     }
 
     fn counters(&self) -> ControllerCounters {
@@ -274,29 +155,46 @@ impl Controller for DecBitControl {
             decisions: self.snapshots,
             raises: self.clear_verdicts,
             cuts: self.congested_verdicts,
-            resets: 0,
-            watchdog_trips: self.watchdog_trips,
-            watchdog_rearms: self.watchdog_rearms,
+            ..ControllerCounters::default()
         }
     }
 
-    fn save_state(&self, enc: &mut checkpoint::Enc) {
-        DecBitControl::save_state(self, enc);
+    fn save(&self, enc: &mut checkpoint::Enc) {
+        enc.u32(self.window.len() as u32);
+        for &c in &self.window {
+            enc.u32(c);
+        }
+        enc.bool(self.congested);
+        enc.u64(self.snapshots);
+        enc.u64(self.congested_verdicts);
+        enc.u64(self.clear_verdicts);
     }
 
-    fn restore_state(
-        &mut self,
+    fn restore(
+        cfg: &DecBitConfig,
         dec: &mut checkpoint::Dec<'_>,
-    ) -> Result<(), checkpoint::CheckpointError> {
-        DecBitControl::restore_state(self, dec)
+    ) -> Result<Self, checkpoint::CheckpointError> {
+        let len = dec.u32()?;
+        let mut window = Vec::new();
+        for _ in 0..len {
+            window.push(dec.u32()?);
+        }
+        Ok(DecBitPolicy {
+            threshold: Self::threshold_for(cfg),
+            window,
+            congested: dec.bool()?,
+            snapshots: dec.u64()?,
+            congested_verdicts: dec.u64()?,
+            clear_verdicts: dec.u64()?,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faults::SidebandFaults;
-    use wormsim::{DeadlockMode, NetConfig};
+    use crate::guarded::testing::{flood, small_sideband};
+    use crate::Controller;
 
     /// The 50% congested-bit boundary is inclusive: an average of exactly
     /// half the nodes congested throttles; one bit-count less over the
@@ -305,19 +203,19 @@ mod tests {
     fn fifty_percent_boundary_is_inclusive() {
         let nodes = 64.0;
         // Window of 4 averaging exactly 32 (= 50% of 64): congested.
-        assert!(DecBitControl::window_congested(
+        assert!(DecBitPolicy::window_congested(
             &[32, 32, 32, 32],
             0.5,
             nodes
         ));
-        assert!(DecBitControl::window_congested(&[0, 64, 0, 64], 0.5, nodes));
+        assert!(DecBitPolicy::window_congested(&[0, 64, 0, 64], 0.5, nodes));
         // One congested-node observation fewer: average 31.75 < 32, clear.
-        assert!(!DecBitControl::window_congested(
+        assert!(!DecBitPolicy::window_congested(
             &[32, 32, 32, 31],
             0.5,
             nodes
         ));
-        assert!(!DecBitControl::window_congested(
+        assert!(!DecBitPolicy::window_congested(
             &[31, 33, 32, 31],
             0.5,
             nodes
@@ -326,44 +224,24 @@ mod tests {
 
     #[test]
     fn empty_window_is_never_congested() {
-        assert!(!DecBitControl::window_congested(&[], 0.5, 64.0));
+        assert!(!DecBitPolicy::window_congested(&[], 0.5, 64.0));
     }
 
     #[test]
     fn average_not_latest_decides() {
         // Latest snapshot fully congested, but the window average is still
         // below half: the filter must smooth the spike away.
-        assert!(!DecBitControl::window_congested(&[0, 0, 0, 64], 0.5, 64.0));
+        assert!(!DecBitPolicy::window_congested(&[0, 0, 0, 64], 0.5, 64.0));
         // Three of four at the boundary with one clear snapshot: 48 ≥ 32.
-        assert!(DecBitControl::window_congested(&[64, 64, 64, 0], 0.5, 64.0));
-    }
-
-    fn small_cfg() -> DecBitConfig {
-        DecBitConfig {
-            sideband: SidebandConfig {
-                radix: 8,
-                ..SidebandConfig::paper()
-            },
-            ..DecBitConfig::paper()
-        }
-    }
-
-    fn flood(ctl: &mut DecBitControl, cycles: u64) {
-        let mut net = Network::new(NetConfig::small(DeadlockMode::PAPER_RECOVERY)).unwrap();
-        let nodes = net.torus().node_count();
-        let mut i = 0usize;
-        let mut source = move |_now: u64, node: usize| {
-            i = i.wrapping_add(node + 1);
-            Some((node + 1 + i) % nodes)
-        };
-        for _ in 0..cycles {
-            net.cycle(&mut source, ctl);
-        }
+        assert!(DecBitPolicy::window_congested(&[64, 64, 64, 0], 0.5, 64.0));
     }
 
     #[test]
     fn throttles_a_flooded_network() {
-        let mut ctl = DecBitControl::new(small_cfg());
+        let mut ctl = DecBitControl::new(DecBitConfig {
+            sideband: small_sideband(),
+            ..DecBitConfig::paper()
+        });
         flood(&mut ctl, 10_000);
         let c = Controller::counters(&ctl);
         assert!(c.decisions > 0);
@@ -371,23 +249,5 @@ mod tests {
             c.cuts > 0,
             "a sustained flood must congest a majority of nodes"
         );
-    }
-
-    #[test]
-    fn watchdog_trips_on_blackout_and_fails_open() {
-        let mut ctl = DecBitControl::new(small_cfg());
-        ctl.set_faults(FaultPlan::sideband_only(
-            11,
-            SidebandFaults {
-                loss_rate: 1.0,
-                ..SidebandFaults::none()
-            },
-        ));
-        flood(&mut ctl, 5_000);
-        assert!(ctl.watchdog_active());
-        assert!(!ctl.throttling(), "a frozen controller fails open");
-        let c = Controller::counters(&ctl);
-        assert_eq!(c.watchdog_trips, 1);
-        assert_eq!(c.decisions, 0, "no aggregates, no verdicts");
     }
 }

@@ -21,7 +21,9 @@
 //! [`AloControl`] of Baydal et al., and fixed-threshold throttling
 //! ([`StaticThreshold`], Figure 5), and a [`Simulation`] facade that wires a
 //! network, a workload and a policy together and measures what the paper
-//! plots.
+//! plots. The self-tuner and its rivals ([`AimdControl`], [`DecBitControl`],
+//! [`BbrControl`]) share one guarded side-band front end, [`Guarded`]: each
+//! is only a [`Policy`], its per-snapshot decision rule.
 //!
 //! # Quick start
 //!
@@ -50,23 +52,25 @@ mod alo;
 mod bbr;
 mod controller;
 mod decbit;
+mod guarded;
 mod scheme;
 mod sim;
 mod statik;
 mod tuned;
 
-pub use aimd::{AimdConfig, AimdControl};
+pub use aimd::{AimdConfig, AimdControl, AimdPolicy};
 pub use alo::AloControl;
-pub use bbr::{bbr_phase_gain, BbrConfig, BbrControl};
+pub use bbr::{bbr_phase_gain, BbrConfig, BbrControl, BbrPolicy};
 pub use controller::{Controller, ControllerCounters};
-pub use decbit::{DecBitConfig, DecBitControl};
+pub use decbit::{DecBitConfig, DecBitControl, DecBitPolicy};
+pub use guarded::{Guarded, Policy, WATCHDOG_GATHERS};
 pub use scheme::{Control, Scheme};
 pub use sim::{
     BudgetKind, FaultReport, LivelockDiag, RunGuard, SimConfig, SimError, Simulation, SummaryError,
     DEFAULT_LIVELOCK_WINDOW,
 };
 pub use statik::StaticThreshold;
-pub use tuned::{decide, SelfTuned, TuneAction, TuneConfig};
+pub use tuned::{decide, SelfTuned, TuneAction, TuneConfig, TunePolicy};
 // The audit layer's types, so `SimError::Audit` and `Simulation::audit`
 // are usable without importing `wormsim` directly.
 pub use wormsim::{AuditKind, AuditReport, AuditViolation, PhaseStats};

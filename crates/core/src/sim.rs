@@ -258,15 +258,12 @@ pub struct FaultReport {
     /// Side-band loss/delay/corruption/rejection counters, when the scheme
     /// has a side-band (`None` for `Base` and `Alo`).
     pub sideband: Option<SidebandStats>,
-    /// Times the controller's staleness watchdog tripped (froze it).
-    pub watchdog_trips: u64,
-    /// Times a valid aggregate re-armed the tripped watchdog.
-    pub watchdog_rearms: u64,
     /// Whether the watchdog is tripped right now.
     pub watchdog_active: bool,
-    /// The controller's full decision/watchdog counters (raises, cuts,
-    /// resets, …), so degradation reports can show decision activity
-    /// alongside the fault counters without a second query.
+    /// The controller's decision and watchdog counters (raises, cuts,
+    /// resets, watchdog trips and re-arms), so degradation reports can
+    /// show decision activity alongside the fault counters without a
+    /// second query.
     pub controller: crate::ControllerCounters,
     /// Cycles flits stalled on faulted network links.
     pub link_stall_cycles: u64,
@@ -279,8 +276,8 @@ impl FaultReport {
     #[must_use]
     pub fn is_clean(&self) -> bool {
         self.sideband.unwrap_or_default() == SidebandStats::default()
-            && self.watchdog_trips == 0
-            && self.watchdog_rearms == 0
+            && self.controller.watchdog_trips == 0
+            && self.controller.watchdog_rearms == 0
             && !self.watchdog_active
             && self.link_stall_cycles == 0
             && self.hotspot_stall_cycles == 0
@@ -721,13 +718,10 @@ impl Simulation {
     #[must_use]
     pub fn fault_report(&self) -> FaultReport {
         let c = self.net.counters();
-        let counters = Controller::counters(&self.ctl);
         FaultReport {
             sideband: self.ctl.sideband_stats(),
-            watchdog_trips: counters.watchdog_trips,
-            watchdog_rearms: counters.watchdog_rearms,
             watchdog_active: Controller::watchdog_active(&self.ctl),
-            controller: counters,
+            controller: Controller::counters(&self.ctl),
             link_stall_cycles: c.link_stall_cycles,
             hotspot_stall_cycles: c.hotspot_stall_cycles,
         }
@@ -877,7 +871,7 @@ mod tests {
         sim.run_to_end();
         let t = sim.tuned().expect("tuned scheme");
         assert!(t.threshold().unwrap() > 0.0);
-        assert!(t.tune_events() > 10);
+        assert!(sim.controller_counters().decisions > 10);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Cross-controller conformance battery (DESIGN.md §6).
 //!
 //! Every controller in the registry — plus a representative static
-//! threshold — runs through the same five properties. A controller that
+//! threshold — runs through the same six properties. A controller that
 //! passes here is safe to hand to `experiments`, `chaos` and the golden
-//! figures: checkpointing, fast-forward, auditing, fault storms and the
-//! throttle gate all behave.
+//! figures: checkpointing, fast-forward, auditing, fault storms and their
+//! recovery, the throttle gate and the shared side-band front end all
+//! behave.
 
 use faults::{FaultPlan, SidebandFaults};
 use sideband::SidebandConfig;
@@ -214,21 +215,26 @@ fn saturated_run_is_audit_clean_at_cadence_64() {
     }
 }
 
-/// Property 4 — staleness watchdog under a side-band blackout: with every
-/// gather lost, watchdog controllers trip at least once, stay tripped,
-/// and fail open (no throttling on frozen data); watchdog-free
-/// controllers record zero trips and keep running.
+fn blackout() -> FaultPlan {
+    FaultPlan::sideband_only(
+        99,
+        SidebandFaults {
+            loss_rate: 1.0,
+            ..SidebandFaults::none()
+        },
+    )
+}
+
+/// Property 4 — staleness watchdog through a side-band blackout and its
+/// recovery: with every gather lost, watchdog controllers trip at least
+/// once, stay tripped, and fail open (no throttling on frozen data). Once
+/// the blackout lifts, every one of them re-arms and throttles again on a
+/// rising census. Watchdog-free controllers record zero trips throughout
+/// and keep running.
 #[test]
-fn blackout_storm_trips_watchdogs_and_fails_open() {
+fn blackout_storm_trips_watchdogs_fails_open_and_recovers() {
     for e in ROSTER {
-        let plan = FaultPlan::sideband_only(
-            99,
-            SidebandFaults {
-                loss_rate: 1.0,
-                ..SidebandFaults::none()
-            },
-        );
-        let mut sim = Simulation::with_faults(cfg(e, 21, 6_000, 0.05), plan).unwrap();
+        let mut sim = Simulation::with_faults(cfg(e, 21, 6_000, 0.05), blackout()).unwrap();
         sim.run_to_end();
         let rep = sim.fault_report();
         if e.has_sideband {
@@ -239,7 +245,7 @@ fn blackout_storm_trips_watchdogs_and_fails_open() {
         }
         if e.has_watchdog {
             assert!(
-                rep.watchdog_trips >= 1,
+                rep.controller.watchdog_trips >= 1,
                 "{}: watchdog never tripped",
                 e.name
             );
@@ -254,8 +260,54 @@ fn blackout_storm_trips_watchdogs_and_fails_open() {
                 e.name
             );
         } else {
-            assert_eq!(rep.watchdog_trips, 0, "{}: phantom watchdog", e.name);
+            assert_eq!(
+                rep.controller.watchdog_trips, 0,
+                "{}: phantom watchdog",
+                e.name
+            );
             assert!(!rep.watchdog_active, "{}: phantom watchdog", e.name);
+        }
+
+        // Recovery, on the synthetic census path: the same blackout lifts
+        // at cycle 2 000 while the census climbs to buffer saturation.
+        let lift = 2_000_u64;
+        let mut ctl = scheme_for(e).build();
+        Controller::set_faults(&mut ctl, blackout());
+        let mut throttled_after_lift = false;
+        for now in 0..6_000_u64 {
+            if now == lift {
+                assert_eq!(
+                    Controller::watchdog_active(&ctl),
+                    e.has_watchdog,
+                    "{}: tripped exactly when it has a watchdog",
+                    e.name
+                );
+                Controller::set_faults(&mut ctl, FaultPlan::none(99));
+            }
+            let census = u32::try_from(now / 4).unwrap().min(768);
+            Controller::observe_census(&mut ctl, now, census, 8 * now.min(1_000));
+            throttled_after_lift |= now >= lift && Controller::throttling(&ctl);
+        }
+        let c = Controller::counters(&ctl);
+        if e.has_watchdog {
+            assert!(c.watchdog_rearms >= 1, "{}: never re-armed", e.name);
+            assert!(
+                !Controller::watchdog_active(&ctl),
+                "{}: data is back, must be armed",
+                e.name
+            );
+            assert!(
+                throttled_after_lift,
+                "{}: must throttle again once data returns",
+                e.name
+            );
+        } else {
+            assert_eq!(
+                (c.watchdog_trips, c.watchdog_rearms),
+                (0, 0),
+                "{}: phantom watchdog",
+                e.name
+            );
         }
     }
 }
@@ -300,5 +352,116 @@ fn synthetic_census_ramp_engages_exactly_the_gating_controllers() {
             "{}: gate response does not match its contract",
             e.name
         );
+    }
+}
+
+/// The fault plan of the front-end pin: frequent side-band losses and long
+/// delays, so runs of missing aggregates trip the staleness watchdog and
+/// the next arrival re-arms it, several times per run.
+fn pin_plan() -> FaultPlan {
+    FaultPlan::sideband_only(
+        17,
+        SidebandFaults {
+            loss_rate: 0.5,
+            delay_rate: 0.5,
+            max_delay: 320,
+            ..SidebandFaults::none()
+        },
+    )
+}
+
+/// The synthetic census of the front-end pin at cycle `now`, with the
+/// cumulative delivery count up to it: a repeating ramp from an idle
+/// network to buffer saturation, with delivery collapsing as the census
+/// climbs and recovering when it falls back.
+fn pin_census(now: u64, delivered_cum: &mut u64) -> u32 {
+    let phase = now % 3_000;
+    let census = if phase < 2_000 {
+        u32::try_from(phase * 768 / 2_000).unwrap()
+    } else {
+        0
+    };
+    *delivered_cum += u64::from(8 - census / 100);
+    census
+}
+
+/// Drives one registered controller through the pin's census ramp and
+/// fault plan for 15 000 cycles, folding each cycle's observable state
+/// (throttling, threshold bits, watchdog state, counters) into one FNV-1a
+/// hash. With `restore_mid_outage`, the controller is checkpointed at the
+/// first cycle its watchdog is tripped and the rest of the run continues
+/// in a fresh controller restored from that checkpoint.
+fn pin_run(name: &str, restore_mid_outage: bool) -> (u64, stcc::ControllerCounters) {
+    let scheme = Scheme::by_name(name, &small_sideband()).expect("roster name resolves");
+    let mut ctl = scheme.build();
+    Controller::set_faults(&mut ctl, pin_plan());
+    let mut trace = checkpoint::Enc::new();
+    let mut delivered = 0_u64;
+    let mut restored = false;
+    for now in 0..15_000_u64 {
+        let census = pin_census(now, &mut delivered);
+        Controller::observe_census(&mut ctl, now, census, delivered);
+        let c = Controller::counters(&ctl);
+        trace.bool(Controller::throttling(&ctl));
+        trace.opt_u64(Controller::threshold(&ctl).map(f64::to_bits));
+        trace.bool(Controller::watchdog_active(&ctl));
+        for v in [
+            c.decisions,
+            c.raises,
+            c.cuts,
+            c.resets,
+            c.watchdog_trips,
+            c.watchdog_rearms,
+        ] {
+            trace.u64(v);
+        }
+        if restore_mid_outage && !restored && Controller::watchdog_active(&ctl) {
+            let mut enc = checkpoint::Enc::new();
+            Controller::save_state(&ctl, &mut enc);
+            let bytes = enc.into_vec();
+            ctl = scheme.build();
+            Controller::set_faults(&mut ctl, pin_plan());
+            Controller::restore_state(&mut ctl, &mut checkpoint::Dec::new(&bytes))
+                .expect("a controller's own checkpoint restores");
+            assert!(
+                Controller::watchdog_active(&ctl),
+                "{name}: restore must keep the outage"
+            );
+            restored = true;
+        }
+    }
+    assert!(
+        !restore_mid_outage || restored,
+        "{name}: no outage to restore in"
+    );
+    (
+        checkpoint::fnv1a64(&trace.into_vec()),
+        Controller::counters(&ctl),
+    )
+}
+
+/// Property 6 — the guarded side-band front end is pinned: every watchdog
+/// controller, driven through a synthetic census ramp under side-band
+/// loss and delay bursts, trips and re-arms its watchdog and reproduces a
+/// fixed per-cycle trace hash, with and without a checkpoint restore in
+/// the middle of an outage. Any change to what a controller observably
+/// does across trips and re-arms (last-good fallback, rejected-gather
+/// rule, per-policy trip/re-arm resets) changes the hash. A deliberate
+/// change must re-derive the constants and say why.
+#[test]
+fn front_end_trace_is_pinned_through_trips_and_rearms() {
+    const PIN: &[(&str, u64)] = &[
+        ("tune", 0xf3b7_1d56_e2ac_15a6),
+        ("aimd", 0x3d16_c664_725e_c1ab),
+        ("decbit", 0x61a9_7baf_3262_94ea),
+        ("bbr", 0x0cb5_6579_52f3_1481),
+    ];
+    for &(name, want) in PIN {
+        let (hash, c) = pin_run(name, false);
+        assert!(c.watchdog_trips >= 1, "{name}: no trip");
+        assert!(c.watchdog_rearms >= 1, "{name}: no re-arm");
+        let (resumed, _) = pin_run(name, true);
+        assert_eq!(resumed, hash, "{name}: mid-outage restore diverged");
+        assert_eq!(hash, want, "{name}: front-end trace changed");
     }
 }

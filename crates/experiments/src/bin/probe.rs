@@ -61,7 +61,7 @@ fn main() {
                         t.max_throughput().unwrap_or(0),
                         tm,
                         nm,
-                        t.resets()
+                        sim.controller_counters().resets
                     );
                 }
             }

@@ -459,7 +459,7 @@ impl Sideband {
     /// How many gathers overdue the receivers' newest visible aggregate is
     /// at cycle `now`: 0 on a healthy side-band, and grows by one per gather
     /// period while aggregates fail to arrive. Drives the staleness
-    /// watchdog of the self-tuned controller.
+    /// watchdog of the side-band controllers.
     #[must_use]
     pub fn gathers_overdue(&self, now: u64) -> u64 {
         if now < 2 * self.period {

@@ -61,10 +61,12 @@ step "tier-1: test" cargo test -q
 step "workspace tests" cargo test --workspace -q
 
 # Controller conformance: every controller in the registry (plus a static
-# representative) through the shared five-property battery — checkpoint
+# representative) through the shared six-property battery — checkpoint
 # bit-equality, fast-forward veto/equivalence, audit-clean stepping,
-# watchdog fail-open, and the synthetic-census throttle gate. Part of the
-# workspace run too; named so a conformance break is unmistakable.
+# watchdog fail-open and recovery (re-arm after a blackout lifts), the
+# synthetic-census throttle gate, and the hash pin of the guarded side-band
+# front end through watchdog trips, re-arms and a mid-outage restore. Part
+# of the workspace run too; named so a conformance break is unmistakable.
 step "controller conformance" \
     cargo test -q -p stcc --test controller_conformance
 
